@@ -2,12 +2,12 @@
 //! recognizer, and a ranking method; get back the top-k visualizations of a
 //! table (the full online pipeline of Figure 4).
 
-use crate::graph::{partial_order_log_scores, DominanceGraph, STREAMING_THRESHOLD};
+use crate::graph::partial_order_log_scores;
 use crate::node::VisNode;
 use crate::partial_order::{compute_factor_breakdowns, FactorBreakdown, Factors};
 use crate::progressive::ProgressiveSelector;
-use crate::provenance::{HybridParts, Outcome, Provenance, RankBreakdown};
-use crate::ranking::{rank_by_partial_order_observed, HybridRanker, LtrRanker};
+use crate::provenance::{DominanceSummary, HybridParts, Outcome, Provenance, RankBreakdown};
+use crate::ranking::{rank_by_factors_observed, HybridRanker, LtrRanker};
 use crate::recognition::Recognizer;
 use crate::rules;
 use deepeye_data::Table;
@@ -152,6 +152,30 @@ impl Recommendation {
         e.notes = narrative_notes(&self.node, &self.factors);
         e
     }
+}
+
+/// How node `i` sits in the dominance graph of the ranked set, by one scan
+/// over all n nodes (no graph is built). On equal weights the first
+/// maximum in index order wins.
+fn dominance_summary(nodes: &[VisNode], factors: &[Factors], i: usize) -> DominanceSummary {
+    let mut s = DominanceSummary::default();
+    let fi = factors[i];
+    for (j, fj) in factors.iter().enumerate() {
+        if fi.strictly_dominates(fj) {
+            let w = fi.edge_weight(fj);
+            s.dominates += 1;
+            if s.strongest_out.as_ref().is_none_or(|(_, best)| w > *best) {
+                s.strongest_out = Some((nodes[j].id(), w));
+            }
+        } else if fj.strictly_dominates(&fi) {
+            let w = fj.edge_weight(&fi);
+            s.dominated_by += 1;
+            if s.strongest_in.as_ref().is_none_or(|(_, best)| w > *best) {
+                s.strongest_in = Some((nodes[j].id(), w));
+            }
+        }
+    }
+    s
 }
 
 /// The chart-specific "why" sentences for a ranked node — shared between
@@ -445,23 +469,22 @@ impl DeepEye {
         obs.incr("rank.nodes", nodes.len() as u64);
         let breakdowns = compute_factor_breakdowns(&nodes);
         let factors: Vec<Factors> = breakdowns.iter().map(FactorBreakdown::factors).collect();
-        // When explaining a hybrid run, the two component orders are needed
-        // per node; `rank_observed` computes them internally but does not
-        // expose them, so the explained path replicates its exact span
-        // structure and combines by hand.
+        // When explaining a hybrid run, provenance records the two
+        // component orders per node.
         let mut hybrid_detail: Option<(Vec<usize>, Vec<usize>)> = None;
         let order: Vec<usize> = match &self.config.ranking {
-            RankingMethod::PartialOrder => rank_by_partial_order_observed(&nodes, obs),
+            RankingMethod::PartialOrder => rank_by_factors_observed(&factors, obs),
             RankingMethod::LearningToRank(ltr) => ltr.rank_observed(&nodes, obs),
-            RankingMethod::Hybrid(ltr, hybrid) if prov.is_enabled() => {
+            RankingMethod::Hybrid(ltr, hybrid) => {
                 let _span = obs.span("rank.hybrid");
                 let ltr_order = ltr.rank_observed(&nodes, obs);
-                let po_order = rank_by_partial_order_observed(&nodes, obs);
+                let po_order = rank_by_factors_observed(&factors, obs);
                 let combined = hybrid.combine(&ltr_order, &po_order);
-                hybrid_detail = Some((ltr_order, po_order));
+                if prov.is_enabled() {
+                    hybrid_detail = Some((ltr_order, po_order));
+                }
                 combined
             }
-            RankingMethod::Hybrid(ltr, hybrid) => hybrid.rank_observed(ltr, &nodes, obs),
         };
         if prov.is_enabled() {
             self.record_rank_provenance(
@@ -472,16 +495,6 @@ impl DeepEye {
                 hybrid_detail.as_ref(),
             );
         }
-        let variant_key = |n: &VisNode| {
-            format!(
-                "{}|{}|{}|{:?}|{:?}",
-                n.query.chart,
-                n.query.x,
-                n.query.y.as_deref().unwrap_or(""),
-                n.query.transform,
-                n.query.aggregate
-            )
-        };
         let mut seen = std::collections::HashSet::new();
         let mut nodes: Vec<Option<VisNode>> = nodes.into_iter().map(Some).collect();
         let mut out = Vec::with_capacity(k.min(nodes.len()));
@@ -489,7 +502,7 @@ impl DeepEye {
         for idx in order {
             // Rankers emit each index at most once; a repeat is a ranker bug,
             // surfaced in debug builds and skipped in release.
-            let Some(key) = nodes[idx].as_ref().map(&variant_key) else {
+            let Some(key) = nodes[idx].as_ref().map(VisNode::variant_key) else {
                 debug_assert!(false, "ranking emitted index {idx} twice");
                 continue;
             };
@@ -531,7 +544,6 @@ impl DeepEye {
         order: &[usize],
         hybrid_detail: Option<&(Vec<usize>, Vec<usize>)>,
     ) {
-        use crate::provenance::DominanceSummary;
         let prov = &self.config.provenance;
         // Callers only reach here when provenance is on; the guard keeps
         // the invariant locally checkable (analyze rule A0002) and makes
@@ -593,34 +605,6 @@ impl DeepEye {
             }
         }
 
-        // Dominance summaries for the top-N: one pass over the graph's
-        // edges, touching only detail-worthy endpoints. The graph is only
-        // built at sizes where the rankers themselves would build it.
-        let mut summaries: Vec<Option<DominanceSummary>> = vec![None; n];
-        if n <= STREAMING_THRESHOLD {
-            let graph = DominanceGraph::build_pruned(factors);
-            let detail = |i: usize| final_pos[i] < caps.top_n;
-            for i in (0..n).filter(|&i| detail(i)) {
-                summaries[i] = Some(DominanceSummary::default());
-            }
-            for u in 0..n {
-                for &(v, w) in graph.out_edges(u) {
-                    if let Some(s) = summaries[u].as_mut() {
-                        s.dominates += 1;
-                        if s.strongest_out.as_ref().is_none_or(|(_, best)| w > *best) {
-                            s.strongest_out = Some((nodes[v].id(), w));
-                        }
-                    }
-                    if let Some(s) = summaries[v].as_mut() {
-                        s.dominated_by += 1;
-                        if s.strongest_in.as_ref().is_none_or(|(_, best)| w > *best) {
-                            s.strongest_in = Some((nodes[u].id(), w));
-                        }
-                    }
-                }
-            }
-        }
-
         for (i, node) in nodes.iter().enumerate() {
             let rank_bd = RankBreakdown {
                 po_log_score: po_log[i],
@@ -631,8 +615,9 @@ impl DeepEye {
                 final_pos: (final_pos[i] != usize::MAX).then_some(final_pos[i]),
             };
             let breakdown = breakdowns[i];
-            let dominance = summaries[i].take();
-            let notes = if final_pos[i] < caps.top_n {
+            let detail = final_pos[i] < caps.top_n;
+            let dominance = detail.then(|| dominance_summary(nodes, factors, i));
+            let notes = if detail {
                 narrative_notes(node, &factors[i])
             } else {
                 Vec::new()

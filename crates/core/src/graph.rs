@@ -4,6 +4,11 @@
 //! of Eq. 9 exists when `u ≻ v` (strictly better on the partial order).
 //! Scores propagate as `S(v) = Σ_{(v,u)∈E} (w(v,u) + S(u))` and the top-k
 //! nodes are those with the largest scores.
+//!
+//! [`DominanceGraph`] is Algorithm 1's data structure, kept for the pruning
+//! ablations and as the reference the ranking path is tested against. The
+//! ranking path itself scores with [`partial_order_log_scores`], which
+//! needs no edge list.
 
 use crate::partial_order::Factors;
 
@@ -92,13 +97,6 @@ impl DominanceGraph {
         self.edges[u].iter().any(|&(t, _)| t == v)
     }
 
-    /// Outgoing dominance edges of `u` as `(target, Eq. 9 weight)` pairs.
-    /// Empty for out-of-range indices, so provenance readers need no
-    /// bounds bookkeeping.
-    pub fn out_edges(&self, u: usize) -> &[(usize, f64)] {
-        self.edges.get(u).map(Vec::as_slice).unwrap_or(&[])
-    }
-
     /// The score S(v) of every node: 0 for sinks, otherwise the sum of
     /// `w(v, u) + S(u)` over out-edges. Returned in linear scale; on a
     /// densely dominated set the recurrence grows exponentially with chain
@@ -157,18 +155,7 @@ impl DominanceGraph {
     /// Ties break toward the node with the larger factor sum, then by index
     /// (deterministic output).
     pub fn top_k(&self, k: usize) -> Vec<usize> {
-        let scores = self.log_scores();
-        let mut order: Vec<usize> = (0..self.len()).collect();
-        order.sort_by(|&a, &b| {
-            scores[b]
-                .total_cmp(&scores[a])
-                .then_with(|| {
-                    let fa = self.factors[a];
-                    let fb = self.factors[b];
-                    (fb.m + fb.q + fb.w).total_cmp(&(fa.m + fa.q + fa.w))
-                })
-                .then(a.cmp(&b))
-        });
+        let mut order = rank_order(&self.log_scores(), &self.factors);
         order.truncate(k);
         order
     }
@@ -179,54 +166,70 @@ impl DominanceGraph {
     }
 }
 
-/// Compute `ln S(v)` for every node **without materializing the edge
-/// set** — O(n²) time but O(n) memory, for candidate sets large enough
-/// that the explicit dominance graph (quadratically many edges on densely
-/// dominated sets) would not fit in memory.
+/// Partial-order scores `ln S(v)` for a factor set, without building the
+/// dominance graph.
 ///
-/// Works by processing nodes in ascending factor-sum order, a valid
-/// topological order of strict dominance (if `u ≻ v` then
-/// `m+q+w` of `u` strictly exceeds `v`'s), and folding
-/// `logaddexp(ln w(v,u), ln S(u))` for every already-scored node `u`
-/// that `v` strictly dominates. Produces exactly the same scores as
-/// [`DominanceGraph::log_scores`].
-pub fn streaming_log_scores(factors: &[Factors]) -> Vec<f64> {
-    let n = factors.len();
-    let mut order: Vec<usize> = (0..n).collect();
+/// Nodes with equal factor triples (ORDER BY variants, same-shape charts)
+/// dominate and are dominated by exactly the same nodes, so they share one
+/// score, and each contributes the same term to every node above them.
+/// The scorer therefore groups nodes by triple, orders the G groups
+/// lexicographically by `(m, q, w)` — a linear extension of strict
+/// dominance, so every group a group dominates is scored before it — and
+/// folds, for each group g over every group h it strictly dominates,
+/// `ln S(g) = logsumexp_h [ln |h| + logaddexp(ln w(g,h), ln S(h))]`.
+/// O(n log n + G²) time, O(n) memory, and no edge list. Agrees with
+/// [`DominanceGraph::log_scores`] up to summation order, and equal triples
+/// get bit-identical scores.
+pub fn partial_order_log_scores(factors: &[Factors]) -> Vec<f64> {
+    // `x + 0.0` maps -0.0 to 0.0, which float comparison already equates
+    // but `total_cmp` would order below it.
+    let key = |i: usize| {
+        let f = factors[i];
+        [f.m + 0.0, f.q + 0.0, f.w + 0.0]
+    };
+    let mut order: Vec<usize> = (0..factors.len()).collect();
     order.sort_by(|&a, &b| {
-        let sa = factors[a].m + factors[a].q + factors[a].w;
-        let sb = factors[b].m + factors[b].q + factors[b].w;
-        sa.total_cmp(&sb)
+        let (ka, kb) = (key(a), key(b));
+        ka[0]
+            .total_cmp(&kb[0])
+            .then(ka[1].total_cmp(&kb[1]))
+            .then(ka[2].total_cmp(&kb[2]))
     });
-    let mut log_s = vec![f64::NEG_INFINITY; n];
-    for (pos, &v) in order.iter().enumerate() {
-        let fv = factors[v];
+    let groups: Vec<&[usize]> = order.chunk_by(|&a, &b| key(a) == key(b)).collect();
+
+    let mut log_s = vec![f64::NEG_INFINITY; factors.len()];
+    let mut group_log_s = Vec::with_capacity(groups.len());
+    for (g, members) in groups.iter().enumerate() {
+        let fg = factors[members[0]];
         let mut acc = f64::NEG_INFINITY;
-        // Only nodes earlier in sum order can be dominated by v.
-        for &u in &order[..pos] {
-            if fv.strictly_dominates(&factors[u]) {
-                let w = fv.edge_weight(&factors[u]);
+        for (lower, &lower_log_s) in groups[..g].iter().zip(&group_log_s) {
+            let fh = factors[lower[0]];
+            if fg.strictly_dominates(&fh) {
+                let w = fg.edge_weight(&fh);
                 let lw = if w > 0.0 { w.ln() } else { f64::NEG_INFINITY };
-                acc = log_add(acc, log_add(lw, log_s[u]));
+                acc = log_add(acc, (lower.len() as f64).ln() + log_add(lw, lower_log_s));
             }
         }
-        log_s[v] = acc;
+        group_log_s.push(acc);
+        for &i in *members {
+            log_s[i] = acc;
+        }
     }
     log_s
 }
 
-/// Node count above which [`partial_order_log_scores`] switches from
-/// the explicit graph to the streaming scorer.
-pub const STREAMING_THRESHOLD: usize = 4_000;
-
-/// Partial-order scores for a factor set, choosing the memory-safe path
-/// automatically. Returns `ln S(v)` per node.
-pub fn partial_order_log_scores(factors: &[Factors]) -> Vec<f64> {
-    if factors.len() > STREAMING_THRESHOLD {
-        streaming_log_scores(factors)
-    } else {
-        DominanceGraph::build_pruned(factors).log_scores()
-    }
+/// Node indices best-first by `ln S`; ties break toward the larger factor
+/// sum, then the smaller index (deterministic output).
+pub(crate) fn rank_order(log_scores: &[f64], factors: &[Factors]) -> Vec<usize> {
+    let sum = |i: usize| factors[i].m + factors[i].q + factors[i].w;
+    let mut order: Vec<usize> = (0..factors.len()).collect();
+    order.sort_by(|&a, &b| {
+        log_scores[b]
+            .total_cmp(&log_scores[a])
+            .then_with(|| sum(b).total_cmp(&sum(a)))
+            .then(a.cmp(&b))
+    });
+    order
 }
 
 /// `ln(e^a + e^b)` with proper `-inf` handling.
@@ -469,5 +472,86 @@ mod tests {
         let ranking = g.ranking();
         // Full ranking is the exact reverse chain.
         assert!(ranking.windows(2).all(|w| w[0] > w[1]));
+    }
+
+    /// The next float above a positive `x`.
+    fn ulp_up(x: f64) -> f64 {
+        f64::from_bits(x.to_bits() + 1)
+    }
+
+    #[test]
+    fn one_ulp_dominance_is_scored() {
+        // m one ulp apart: the factor sums round to the same value, which
+        // let a sum-ordered scorer visit v before the u it dominates.
+        let u = f(0.9827611485023496, 0.9, 0.9);
+        let v = f(ulp_up(u.m), u.q, u.w);
+        assert_eq!(v.m + v.q + v.w, u.m + u.q + u.w);
+        assert!(v.strictly_dominates(&u));
+        let scores = partial_order_log_scores(&[v, u]);
+        assert!(scores[0].is_finite(), "v scored {}", scores[0]);
+        assert_eq!(scores[1], f64::NEG_INFINITY);
+        assert_eq!(scores, DominanceGraph::build_naive(&[v, u]).log_scores());
+    }
+
+    #[test]
+    fn negative_zero_groups_with_zero() {
+        let factors = vec![f(-0.0, 0.5, 0.5), f(0.0, 0.5, 0.5), f(0.0, 0.25, 0.5)];
+        let scores = partial_order_log_scores(&factors);
+        assert_eq!(scores[0].to_bits(), scores[1].to_bits());
+        assert_eq!(scores, DominanceGraph::build_naive(&factors).log_scores());
+    }
+
+    #[test]
+    fn grouped_scores_match_the_graph_on_a_large_duplicated_set() {
+        // 4,500 nodes over 200 distinct triples, some one ulp apart.
+        let mut state = 0x9e3779b97f4a7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut distinct: Vec<Factors> = (0..200)
+            .map(|_| {
+                let c = |x: u64| (x % 8) as f64 / 8.0;
+                f(c(next()), c(next()), c(next()))
+            })
+            .collect();
+        for i in (0..200).step_by(10) {
+            distinct[i].m = ulp_up(distinct[i + 1].m.max(0.125));
+            distinct[i].q = distinct[i + 1].q;
+            distinct[i].w = distinct[i + 1].w;
+        }
+        let factors: Vec<Factors> = (0..4_500)
+            .map(|_| distinct[(next() % 200) as usize])
+            .collect();
+        let scores = partial_order_log_scores(&factors);
+        let reference = DominanceGraph::build_naive(&factors).log_scores();
+        for (i, (&s, &r)) in scores.iter().zip(&reference).enumerate() {
+            assert_eq!(s.is_finite(), r.is_finite(), "node {i}: {s} vs {r}");
+            if s.is_finite() {
+                assert!((s - r).abs() < 1e-9, "node {i}: {s} vs {r}");
+            }
+        }
+    }
+
+    #[test]
+    fn identical_triples_score_bit_identically_and_tie_by_index() {
+        let factors = vec![
+            f(0.3, 0.3, 0.3),
+            f(0.9, 0.8, 0.7),
+            f(0.1, 0.2, 0.3),
+            f(0.9, 0.8, 0.7),
+            f(0.3, 0.3, 0.3),
+            f(0.9, 0.8, 0.7),
+        ];
+        let scores = partial_order_log_scores(&factors);
+        assert_eq!(scores[1].to_bits(), scores[3].to_bits());
+        assert_eq!(scores[1].to_bits(), scores[5].to_bits());
+        assert_eq!(scores[0].to_bits(), scores[4].to_bits());
+        assert_eq!(
+            crate::ranking::rank_by_factors(&factors),
+            vec![1, 3, 5, 0, 4, 2]
+        );
     }
 }

@@ -191,23 +191,13 @@ pub fn keyword_search(
     if nodes.is_empty() {
         return Vec::new();
     }
-    let base = crate::ranking::rank_by_partial_order(&nodes);
-    let order = query.rerank(&nodes, &base);
     let factors = crate::partial_order::compute_factors(&nodes);
+    let base = crate::ranking::rank_by_factors(&factors);
+    let order = query.rerank(&nodes, &base);
     // One result per (chart, columns, transform, aggregate): order
     // variants of one chart would otherwise fill the page (same
     // deduplication as `DeepEye::rank_nodes`); single-mark charts are
     // never useful search hits.
-    let variant_key = |n: &crate::node::VisNode| {
-        format!(
-            "{}|{}|{}|{:?}|{:?}",
-            n.query.chart,
-            n.query.x,
-            n.query.y.as_deref().unwrap_or(""),
-            n.query.transform,
-            n.query.aggregate
-        )
-    };
     let mut seen = std::collections::HashSet::new();
     let mut nodes: Vec<Option<crate::node::VisNode>> = nodes.into_iter().map(Some).collect();
     let mut out = Vec::with_capacity(k.min(nodes.len()));
@@ -216,7 +206,7 @@ pub fn keyword_search(
             debug_assert!(false, "ranking emitted index {idx} twice");
             continue;
         };
-        if node_ref.data.series.len() < 2 || !seen.insert(variant_key(node_ref)) {
+        if node_ref.data.series.len() < 2 || !seen.insert(node_ref.variant_key()) {
             continue;
         }
         let Some(node) = nodes[idx].take() else {

@@ -58,9 +58,7 @@ pub use deviation::{
     deviation_between, deviation_from_uniform, rank_by_deviation, DeviationMetric,
 };
 pub use features::{pair_feature_vector, ColumnFeatures, NodeFeatures, FEATURE_DIM, FEATURE_NAMES};
-pub use graph::{
-    partial_order_log_scores, streaming_log_scores, DominanceGraph, STREAMING_THRESHOLD,
-};
+pub use graph::{partial_order_log_scores, DominanceGraph};
 pub use keyword::{keyword_search, Intent, KeywordQuery};
 pub use multi_select::{
     multi_y_candidates, recommend_multi, recommend_multi_y, xyz_candidates, MultiRecommendation,
@@ -82,7 +80,8 @@ pub use provenance::{
 };
 pub use range_tree::{build_with_range_tree, RangeTree3};
 pub use ranking::{
-    rank_by_partial_order, rank_by_partial_order_observed, HybridRanker, LtrRanker, RankingExample,
+    rank_by_factors, rank_by_factors_observed, rank_by_partial_order, HybridRanker, LtrRanker,
+    RankingExample,
 };
 pub use recognition::{ClassifierKind, LabeledExample, Recognizer};
 pub use render::vega_lite_spec;

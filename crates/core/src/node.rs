@@ -120,6 +120,18 @@ impl VisNode {
     pub fn id(&self) -> String {
         crate::provenance::query_id(&self.query)
     }
+
+    /// The chart without its ORDER BY: `(chart, x, y, transform,
+    /// aggregate)`. ORDER BY variants share their factors and would fill
+    /// adjacent ranks, so result pages keep one node per key.
+    pub(crate) fn variant_key(&self) -> String {
+        let q = &self.query;
+        let y = q.y.as_deref().unwrap_or("");
+        format!(
+            "{}|{}|{y}|{:?}|{:?}",
+            q.chart, q.x, q.transform, q.aggregate
+        )
+    }
 }
 
 #[cfg(test)]

@@ -99,12 +99,12 @@ pub fn transform_quality(node: &VisNode) -> f64 {
 
 /// Column importance W(X) for every column: the ratio of valid charts
 /// containing the column to all valid charts (Eq. 7 text).
-pub fn column_importance(nodes: &[VisNode]) -> HashMap<String, f64> {
+pub fn column_importance(nodes: &[VisNode]) -> HashMap<&str, f64> {
     let total = nodes.len().max(1) as f64;
-    let mut counts: HashMap<String, usize> = HashMap::new();
+    let mut counts: HashMap<&str, usize> = HashMap::new();
     for node in nodes {
         for col in node.columns() {
-            *counts.entry(col.to_owned()).or_insert(0) += 1;
+            *counts.entry(col).or_insert(0) += 1;
         }
     }
     counts

@@ -2,39 +2,30 @@
 //! learning-to-rank (LambdaMART over the 14-feature vectors), and the
 //! hybrid combination of §IV-D.
 
-use crate::graph::partial_order_log_scores;
+use crate::graph::{partial_order_log_scores, rank_order};
 use crate::node::VisNode;
-use crate::partial_order::compute_factors;
+use crate::partial_order::{compute_factors, Factors};
 use deepeye_ml::{LambdaMart, LambdaMartParams, QueryGroup};
 
 /// Rank a set of valid nodes with the partial-order scores (Algorithm 1).
-/// Returns node indices best-first. Uses the explicit dominance graph for
-/// small sets and the O(n)-memory streaming scorer for large ones — the
-/// induced ranking is the same (ties break by factor sum, then index,
-/// exactly like [`crate::graph::DominanceGraph::top_k`]).
+/// Returns node indices best-first; see [`rank_by_factors`].
 pub fn rank_by_partial_order(nodes: &[VisNode]) -> Vec<usize> {
-    let factors = compute_factors(nodes);
-    let scores = partial_order_log_scores(&factors);
-    let mut order: Vec<usize> = (0..nodes.len()).collect();
-    order.sort_by(|&a, &b| {
-        scores[b]
-            .total_cmp(&scores[a])
-            .then_with(|| {
-                let (fa, fb) = (factors[a], factors[b]);
-                (fb.m + fb.q + fb.w).total_cmp(&(fa.m + fa.q + fa.w))
-            })
-            .then(a.cmp(&b))
-    });
-    order
+    rank_by_factors(&compute_factors(nodes))
 }
 
-/// [`rank_by_partial_order`] under a `rank.partial_order` span.
-pub fn rank_by_partial_order_observed(
-    nodes: &[VisNode],
-    obs: &deepeye_obs::Observer,
-) -> Vec<usize> {
+/// The partial-order ranking of nodes whose factors are already computed
+/// (by [`compute_factors`]), best-first by [`partial_order_log_scores`].
+/// Ties break by factor sum, then by index, exactly like
+/// [`crate::graph::DominanceGraph::top_k`]. Equal triples score
+/// bit-identically, so ORDER BY twins tie and keep index order.
+pub fn rank_by_factors(factors: &[Factors]) -> Vec<usize> {
+    rank_order(&partial_order_log_scores(factors), factors)
+}
+
+/// [`rank_by_factors`] under a `rank.partial_order` span.
+pub fn rank_by_factors_observed(factors: &[Factors], obs: &deepeye_obs::Observer) -> Vec<usize> {
     let _span = obs.span("rank.partial_order");
-    rank_by_partial_order(nodes)
+    rank_by_factors(factors)
 }
 
 /// A trained learning-to-rank model over visualization nodes.
@@ -179,20 +170,6 @@ impl HybridRanker {
     pub fn rank(&self, ltr: &LtrRanker, nodes: &[VisNode]) -> Vec<usize> {
         let ltr_order = ltr.rank(nodes);
         let po_order = rank_by_partial_order(nodes);
-        self.combine(&ltr_order, &po_order)
-    }
-
-    /// [`HybridRanker::rank`] under a `rank.hybrid` span, with the two
-    /// component rankings as observed child spans.
-    pub fn rank_observed(
-        &self,
-        ltr: &LtrRanker,
-        nodes: &[VisNode],
-        obs: &deepeye_obs::Observer,
-    ) -> Vec<usize> {
-        let _span = obs.span("rank.hybrid");
-        let ltr_order = ltr.rank_observed(nodes, obs);
-        let po_order = rank_by_partial_order_observed(nodes, obs);
         self.combine(&ltr_order, &po_order)
     }
 

@@ -2,7 +2,9 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use deepeye_core::{compute_factors, DominanceGraph, Factors, HybridRanker};
+use deepeye_core::{
+    compute_factors, partial_order_log_scores, DominanceGraph, Factors, HybridRanker,
+};
 use proptest::prelude::*;
 
 fn factor_strategy() -> impl Strategy<Value = Factors> {
@@ -13,8 +15,47 @@ fn factors_vec(max: usize) -> impl Strategy<Value = Vec<Factors>> {
     proptest::collection::vec(factor_strategy(), 0..max)
 }
 
+/// Factor sets with heavy duplication: coordinates on a five-point grid,
+/// each optionally nudged one ulp up, so equal triples and one-ulp
+/// neighbours (whose factor sums round to the same value) are common.
+fn duplicated_factors(max: usize) -> impl Strategy<Value = Vec<Factors>> {
+    let coord = (0u8..5, any::<bool>()).prop_map(|(k, nudge)| {
+        let x = f64::from(k) * 0.2456902871255874;
+        if nudge {
+            f64::from_bits(x.to_bits() + 1)
+        } else {
+            x
+        }
+    });
+    let triple = (coord.clone(), coord.clone(), coord).prop_map(|(m, q, w)| Factors { m, q, w });
+    proptest::collection::vec(triple, 0..max)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The grouped scorer equals the explicit graph's scores: within 1e-9,
+    /// with the same -inf (sink) pattern, and bit-identical on equal
+    /// triples.
+    #[test]
+    fn grouped_scores_equal_naive_graph(factors in duplicated_factors(80)) {
+        let scores = partial_order_log_scores(&factors);
+        let reference = DominanceGraph::build_naive(&factors).log_scores();
+        prop_assert_eq!(scores.len(), reference.len());
+        for (i, (&s, &r)) in scores.iter().zip(&reference).enumerate() {
+            prop_assert_eq!(s == f64::NEG_INFINITY, r == f64::NEG_INFINITY, "node {}", i);
+            if r.is_finite() {
+                prop_assert!((s - r).abs() < 1e-9, "node {}: {} vs {}", i, s, r);
+            }
+        }
+        for a in 0..factors.len() {
+            for b in 0..a {
+                if factors[a] == factors[b] {
+                    prop_assert_eq!(scores[a].to_bits(), scores[b].to_bits());
+                }
+            }
+        }
+    }
 
     /// Dominance is a partial order: reflexive (⪰), antisymmetric on ≻,
     /// transitive — for ⪰ on every generated triple, for ≻ whenever it

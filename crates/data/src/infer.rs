@@ -29,13 +29,15 @@ fn parse_number(s: &str) -> Option<f64> {
     }
 }
 
+/// Null spellings, compared case-insensitively: blank, `NA`, `N/A`,
+/// `NULL`, `-`, and the pandas/Excel exports `NaN`, `None` and `#N/A`.
 fn is_missing(s: &str) -> bool {
     let t = s.trim();
     t.is_empty()
-        || t.eq_ignore_ascii_case("na")
-        || t.eq_ignore_ascii_case("n/a")
-        || t.eq_ignore_ascii_case("null")
         || t == "-"
+        || ["na", "n/a", "null", "nan", "none", "#n/a"]
+            .iter()
+            .any(|m| t.eq_ignore_ascii_case(m))
 }
 
 /// Detect the semantic type of a column of raw string cells.
@@ -211,6 +213,24 @@ mod tests {
                 assert_eq!(vals[3], None);
                 assert_eq!(vals[21], None);
                 assert_eq!(vals[0], Some(1.0));
+            }
+            _ => panic!("expected numeric"),
+        }
+    }
+
+    #[test]
+    fn nan_none_and_excel_na_are_missing() {
+        for spelling in ["NaN", "nan", "None", "#N/A", "#n/a"] {
+            assert!(is_missing(spelling), "{spelling}");
+        }
+        // One NaN in a five-row numeric column must not make it text.
+        let raw = v(&["1.5", "2", "NaN", "4", "5"]);
+        let (ty, data) = detect_and_parse(&raw);
+        assert_eq!(ty, DataType::Numerical);
+        match data {
+            ColumnData::Numeric(vals) => {
+                assert_eq!(vals[2], None);
+                assert_eq!(vals[0], Some(1.5));
             }
             _ => panic!("expected numeric"),
         }
